@@ -18,7 +18,8 @@
 //   - SearchBaseline: the O(n²) sweep-line baseline,
 //   - MaxRS / MaxRSBaseline: the MaxRS adaptation and the OE sweep,
 //   - Engine: the serving-layer facade — one dataset, lazily built cached
-//     per-composite indexes, safe concurrent Query/QueryBatch.
+//     per-composite indexes, safe concurrent QueryCtx/QueryBatch (top-k
+//     and multi-rectangle exclusion live there).
 //
 // # Concurrent search kernel
 //
@@ -157,9 +158,6 @@ type (
 	Pyramid = dssearch.Pyramid
 	// IndexStats reports the work of one GI-DS run.
 	IndexStats = gridindex.Stats
-	// DynamicIndex is an append-only grid index over a live object
-	// stream; Snapshot() materializes a queryable Index.
-	DynamicIndex = gridindex.Dynamic
 )
 
 // MaxRS types.
@@ -228,17 +226,10 @@ func Search(ds *Dataset, a, b float64, q Query, opt Options) (Rect, Result, Sear
 // SearchExcluding is Search restricted to answer regions that do not
 // overlap the exclude rectangle (beyond a shared boundary). Use it for
 // query-by-example with a real query region, which would otherwise be its
-// own zero-distance answer.
+// own zero-distance answer. For several exclusions or the k best
+// non-overlapping regions, use Engine.QueryCtx with Exclude and TopK.
 func SearchExcluding(ds *Dataset, a, b float64, q Query, exclude Rect, opt Options) (Rect, Result, SearchStats, error) {
-	return dssearch.SolveASRSExcluding(ds, a, b, q, exclude, opt)
-}
-
-// SearchTopK returns up to k non-overlapping similar regions in
-// increasing distance order (greedy: best, then best avoiding the first,
-// and so on). The exclude rectangles — typically the example region —
-// are avoided by every answer. An extension beyond the paper.
-func SearchTopK(ds *Dataset, a, b float64, q Query, k int, exclude []Rect, opt Options) ([]Rect, []Result, error) {
-	return dssearch.SolveASRSTopK(ds, a, b, q, k, exclude, opt)
+	return dssearch.SolveASRSExcluding(ds, a, b, q, []Rect{exclude}, opt)
 }
 
 // Typed windowed-search errors, surfaced by SearchWithin and the shard
@@ -258,12 +249,6 @@ var (
 // (DESIGN.md §11).
 func SearchWithin(ds *Dataset, a, b float64, q Query, within Rect, exclude []Rect, opt Options) (Rect, Result, SearchStats, error) {
 	return dssearch.SolveASRSWithin(ds, a, b, q, within, exclude, opt)
-}
-
-// SearchTopKWithin is SearchTopK restricted to regions contained in the
-// extent; rounds stop early once no feasible region remains.
-func SearchTopKWithin(ds *Dataset, a, b float64, q Query, k int, exclude []Rect, within Rect, opt Options) ([]Rect, []Result, error) {
-	return dssearch.SolveASRSTopKWithin(ds, a, b, q, k, exclude, within, opt)
 }
 
 // SearchBaseline solves the ASRS problem with the O(n²) sweep-line
@@ -302,14 +287,6 @@ func BuildPyramid(ds *Dataset, f *Composite) (*Pyramid, error) {
 // summation order.
 func NewIndexParallel(ds *Dataset, f *Composite, sx, sy, workers int) (*Index, error) {
 	return gridindex.NewParallel(ds, f, sx, sy, workers)
-}
-
-// NewDynamicIndex creates an empty append-only index over a declared
-// extent for streaming workloads: Insert objects as they arrive
-// (O(log² grid) each), query live region aggregates with RegionChannels,
-// and Snapshot() an immutable Index for SearchWithIndex bursts.
-func NewDynamicIndex(f *Composite, bounds Rect, sx, sy int) (*DynamicIndex, error) {
-	return gridindex.NewDynamic(f, bounds, sx, sy)
 }
 
 // SearchWithIndex solves the ASRS problem with GI-DS (Algorithm 2): index

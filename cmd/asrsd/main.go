@@ -83,7 +83,7 @@ func main() {
 		grace      = flag.Duration("grace", 30*time.Second, "drain grace period after SIGTERM before in-flight searches are cancelled")
 		verbose    = flag.Bool("verbose", false, "log one line per request")
 		walDir     = flag.String("wal-dir", "", "streaming-ingest WAL directory: POST /v1/insert becomes durable and acknowledged inserts survive a crash (empty = memory-only ingest); in shard mode each shard gets <wal-dir>/<shard-name>")
-		walSync    = flag.String("wal-sync", "always", "WAL sync policy: always (fsync per insert), batch (fsync per insert batch), never (OS flushes)")
+		walSync    = flag.String("wal-sync", "always", "WAL sync policy: always (fsync per insert batch), never (OS flushes)")
 		compactAt  = flag.Int("compact-at", 0, "staged inserts before background compaction folds the WAL into a snapshot (0 = default, negative = never)")
 		shards     = flag.Int("shards", 0, "split the corpus into this many equal-population x-slab shards behind the scatter–gather router (0 = single-engine mode)")
 		shardCuts  = flag.String("shard-cuts", "", "explicit comma-separated interior shard cut x-coordinates, strictly ascending (overrides -shards; k cuts make k+1 shards)")

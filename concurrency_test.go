@@ -1,6 +1,7 @@
 package asrs_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -272,7 +273,7 @@ func TestEngineQueryBatchParallel(t *testing.T) {
 	}
 	want := make([]asrs.QueryResponse, len(reqs))
 	for i, r := range reqs {
-		want[i] = eng.Query(r)
+		want[i] = eng.QueryCtx(context.Background(), r)
 		if want[i].Err != nil {
 			t.Fatal(want[i].Err)
 		}
@@ -284,7 +285,7 @@ func TestEngineQueryBatchParallel(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := eng.QueryBatch(reqs)
+			got := eng.QueryBatch(context.Background(), nil, reqs)
 			for i := range got {
 				if got[i].Err != nil {
 					errs <- got[i].Err
@@ -347,7 +348,7 @@ func TestEngineTopKAndExclude(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := eng.Query(asrs.QueryRequest{Query: q, A: 8, B: 8, TopK: 3})
+	resp := eng.QueryCtx(context.Background(), asrs.QueryRequest{Query: q, A: 8, B: 8, TopK: 3})
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
@@ -360,7 +361,7 @@ func TestEngineTopKAndExclude(t *testing.T) {
 		}
 	}
 	// Excluding the best region must yield the second-best answer.
-	excl := eng.Query(asrs.QueryRequest{Query: q, A: 8, B: 8, Exclude: []asrs.Rect{resp.Regions[0]}})
+	excl := eng.QueryCtx(context.Background(), asrs.QueryRequest{Query: q, A: 8, B: 8, Exclude: []asrs.Rect{resp.Regions[0]}})
 	if excl.Err != nil {
 		t.Fatal(excl.Err)
 	}

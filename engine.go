@@ -53,7 +53,7 @@ type QueryRequest struct {
 	// A, B are the answer region's width and height.
 	A, B float64
 	// TopK requests the k best non-overlapping regions; 0 or 1 returns
-	// the single best.
+	// the single best, and a negative value is a request error.
 	TopK int
 	// Exclude lists rectangles no answer region may overlap (beyond a
 	// shared boundary) — typically the example query region.
@@ -71,7 +71,7 @@ type QueryRequest struct {
 	// deadline or cancellation): the search kernel checks it at superstep
 	// boundaries and the response's Err becomes context.Canceled /
 	// context.DeadlineExceeded. It takes precedence over the batch-level
-	// context of QueryBatchCtx, except that a request deduplicated with
+	// context of QueryBatch, except that a request deduplicated with
 	// byte-identical peers executes once under the group's latest member
 	// deadline (shared work must not die with one member, nor outlive
 	// every member's budget); a member already expired at dispatch, or
@@ -100,7 +100,7 @@ func (r QueryResponse) Best() (Rect, Result) {
 
 // Engine is the serving-layer entry point: it owns a dataset plus lazily
 // built, cached per-composite grid indexes, and answers similarity
-// queries through safe concurrent Query/QueryBatch calls. The seed
+// queries through safe concurrent QueryCtx/QueryBatch calls. The seed
 // dataset must not be mutated while the engine serves it; growth goes
 // through Insert/InsertBatch, which stage objects for the next epoch
 // view. Views, indexes and pyramids are immutable once built, so any
@@ -160,7 +160,7 @@ type Engine struct {
 type EngineStats struct {
 	// Queries counts answered requests, batched or not.
 	Queries int64 `json:"queries"`
-	// Batches counts QueryBatch/QueryBatchInto calls.
+	// Batches counts QueryBatch calls.
 	Batches int64 `json:"batches"`
 	// DedupHits counts batched requests answered by copying a
 	// byte-identical peer's response instead of searching.
@@ -538,19 +538,15 @@ func (e *Engine) options(v *engineView, req QueryRequest) Options {
 	return opt
 }
 
-// Query answers one request. Plain single-region requests ride the cached
-// grid index (GI-DS) when indexing is enabled; TopK and exclusion
-// requests use the DS-Search greedy machinery directly. Safe for
-// concurrent use.
-func (e *Engine) Query(req QueryRequest) QueryResponse {
-	return e.QueryCtx(context.Background(), req)
-}
-
-// QueryCtx is Query bounded by a context: when ctx (or the request's own
-// Ctx, which takes precedence) is cancelled or its deadline passes, the
-// search stops cooperatively at the next kernel superstep boundary and
-// the response's Err is the context error. Answers of searches that
-// complete are bit-identical to an unbounded Query.
+// QueryCtx answers one request. Plain single-region requests ride the
+// cached grid index (GI-DS) when indexing is enabled; exclusion requests
+// run one DS-Search round over the space minus the exclusions, and TopK
+// requests run the greedy top-k rounds (dssearch.Greedy). When ctx (or the
+// request's own Ctx, which takes precedence) is cancelled or its
+// deadline passes, the search stops cooperatively at the next kernel
+// superstep boundary and the response's Err is the context error.
+// Answers of searches that complete are bit-identical to an unbounded
+// query. Safe for concurrent use.
 func (e *Engine) QueryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	var resp QueryResponse
 	e.queryIntoPrep(ctx, e.currentView(), req, &resp, nil)
@@ -572,9 +568,10 @@ func (e *Engine) countResponse(resp *QueryResponse) {
 
 // queryIntoPrep answers one request into resp against the captured
 // epoch view v, reusing resp's Regions and Results slice capacity (the
-// per-response buffer reuse QueryBatchInto relies on), with an optional
-// group-shared prepared query shape (QueryBatchInto's grouping pass
-// builds one per overlapping-extent group).
+// per-response buffer reuse QueryBatch relies on), with an optional
+// group-shared prepared query shape (QueryBatch's grouping pass builds
+// one per overlapping-extent group). A TopK request runs all its greedy
+// rounds here, so it counts as one query with one latency observation.
 func (e *Engine) queryIntoPrep(ctx context.Context, v *engineView, req QueryRequest, resp *QueryResponse, prep *dssearch.Prepared) {
 	start := time.Now()
 	defer func() { e.lat.observe(time.Since(start)) }()
@@ -593,6 +590,10 @@ func (e *Engine) queryIntoPrep(ctx context.Context, v *engineView, req QueryRequ
 			return
 		}
 	}
+	if req.TopK < 0 {
+		resp.Err = fmt.Errorf("asrs: top-k must be non-negative, got %d", req.TopK)
+		return
+	}
 	opt := e.options(v, req)
 	if opt.Ctx == nil && ctx != nil {
 		opt.Ctx = ctx
@@ -600,52 +601,20 @@ func (e *Engine) queryIntoPrep(ctx context.Context, v *engineView, req QueryRequ
 	if prep != nil {
 		opt.Prepared = prep
 	}
-	if req.Within != nil {
-		// Windowed requests bypass the grid index: the index enumerates
-		// whole-corpus cells and knows nothing about extents, while the
-		// windowed front door already restricts the search space to the
-		// extent's anchor window.
-		if req.TopK > 1 {
-			regions, results, err := SearchTopKWithin(v.ds, req.A, req.B, req.Query, req.TopK, req.Exclude, *req.Within, opt)
-			resp.Regions = append(resp.Regions, regions...)
-			resp.Results = append(resp.Results, results...)
-			resp.Err = err
-			return
-		}
-		region, res, _, err := SearchWithin(v.ds, req.A, req.B, req.Query, *req.Within, req.Exclude, opt)
+	if req.TopK > 1 {
+		g := dssearch.NewGreedy(req.Exclude, func(exclude []Rect) (Rect, Result, error) {
+			return e.searchOnce(v, req, opt, exclude)
+		})
+		regions, results, err := g.Take(req.TopK)
 		if err != nil {
 			resp.Err = err
 			return
 		}
-		resp.Regions = append(resp.Regions, region)
-		resp.Results = append(resp.Results, res)
-		return
-	}
-	if req.TopK > 1 || len(req.Exclude) > 0 {
-		k := req.TopK
-		if k < 1 {
-			k = 1
-		}
-		regions, results, err := SearchTopK(v.ds, req.A, req.B, req.Query, k, req.Exclude, opt)
 		resp.Regions = append(resp.Regions, regions...)
 		resp.Results = append(resp.Results, results...)
-		resp.Err = err
 		return
 	}
-	idx, err := e.indexFor(v, req.Query.F)
-	if err != nil {
-		resp.Err = err
-		return
-	}
-	var (
-		region Rect
-		res    Result
-	)
-	if idx != nil {
-		region, res, _, err = SearchWithIndex(idx, v.ds, req.A, req.B, req.Query, opt)
-	} else {
-		region, res, _, err = Search(v.ds, req.A, req.B, req.Query, opt)
-	}
+	region, res, err := e.searchOnce(v, req, opt, req.Exclude)
 	if err != nil {
 		resp.Err = err
 		return
@@ -654,25 +623,46 @@ func (e *Engine) queryIntoPrep(ctx context.Context, v *engineView, req QueryRequ
 	resp.Results = append(resp.Results, res)
 }
 
+// searchOnce runs one single-best search for req against the captured
+// view, avoiding exclude: the request's own exclusions, or a greedy
+// round's accumulated ones.
+func (e *Engine) searchOnce(v *engineView, req QueryRequest, opt Options, exclude []Rect) (Rect, Result, error) {
+	var (
+		region Rect
+		res    Result
+		err    error
+	)
+	switch {
+	case req.Within != nil:
+		// Windowed requests bypass the grid index: the index enumerates
+		// whole-corpus cells and knows nothing about extents, while the
+		// windowed front door already restricts the search space to the
+		// extent's anchor window.
+		region, res, _, err = SearchWithin(v.ds, req.A, req.B, req.Query, *req.Within, exclude, opt)
+	case req.TopK > 1 || len(exclude) > 0:
+		region, res, _, err = dssearch.SolveASRSExcluding(v.ds, req.A, req.B, req.Query, exclude, opt)
+	default:
+		var idx *Index
+		if idx, err = e.indexFor(v, req.Query.F); err != nil {
+			return Rect{}, Result{}, err
+		}
+		if idx != nil {
+			region, res, _, err = SearchWithIndex(idx, v.ds, req.A, req.B, req.Query, opt)
+		} else {
+			region, res, _, err = Search(v.ds, req.A, req.B, req.Query, opt)
+		}
+	}
+	return region, res, err
+}
+
 // QueryBatch answers a batch of requests, running up to
 // EngineOptions.BatchParallelism of them concurrently. The response slice
 // is index-aligned with the requests; per-request failures land in the
-// corresponding response's Err.
-func (e *Engine) QueryBatch(reqs []QueryRequest) []QueryResponse {
-	return e.QueryBatchInto(nil, reqs)
-}
-
-// QueryBatchCtx is QueryBatch bounded by a batch-level context (see
-// QueryBatchIntoCtx for the per-request deadline semantics).
-func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []QueryResponse {
-	return e.QueryBatchIntoCtx(ctx, nil, reqs)
-}
-
-// QueryBatchInto is QueryBatch reusing a caller-provided response
-// buffer: the returned slice aliases dst when it has the capacity, and
-// each retained response's Regions/Results backing arrays are reused
-// too. Serving loops that answer batch after batch hold allocations
-// steady by passing the previous batch's slice back in.
+// corresponding response's Err. The returned slice aliases dst when it
+// has the capacity, and each retained response's Regions/Results backing
+// arrays are reused too: serving loops that answer batch after batch
+// hold allocations steady by passing the previous batch's slice back in
+// (nil allocates a fresh one).
 //
 // Before dispatch the batch goes through a grouping pass (unless
 // EngineOptions.DisableBatchGrouping): bitwise-identical requests —
@@ -682,19 +672,16 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []Query
 // share one prepared query shape (master rectangles, accuracy, pyramid
 // binding) built once per group instead of once per query. Per-request
 // answers are bit-identical with grouping on or off.
-func (e *Engine) QueryBatchInto(dst []QueryResponse, reqs []QueryRequest) []QueryResponse {
-	return e.QueryBatchIntoCtx(context.Background(), dst, reqs)
-}
-
-// QueryBatchIntoCtx is QueryBatchInto bounded by a batch-level context.
-// Each request additionally honors its own QueryRequest.Ctx (per-query
-// deadline), with one dedup subtlety: a group of byte-identical requests
-// is answered by a single search that runs under the group's latest
-// member deadline — one member's short deadline cannot kill work the
-// other members still need, and a group where every member is bounded
-// never runs unbounded. Members whose own context has expired by
-// delivery time get their context error instead of the shared answer.
-func (e *Engine) QueryBatchIntoCtx(ctx context.Context, dst []QueryResponse, reqs []QueryRequest) []QueryResponse {
+//
+// ctx bounds the whole batch. Each request additionally honors its own
+// QueryRequest.Ctx (per-query deadline), with one dedup subtlety: a
+// group of byte-identical requests is answered by a single search that
+// runs under the group's latest member deadline — one member's short
+// deadline cannot kill work the other members still need, and a group
+// where every member is bounded never runs unbounded. Members whose own
+// context has expired by delivery time get their context error instead
+// of the shared answer.
+func (e *Engine) QueryBatch(ctx context.Context, dst []QueryResponse, reqs []QueryRequest) []QueryResponse {
 	if ctx == nil {
 		// The dedup-group contexts below derive from ctx and would panic
 		// on nil; the single-query path merely tolerates it. Accept nil

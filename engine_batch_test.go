@@ -2,6 +2,7 @@ package asrs_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -94,7 +95,7 @@ func TestBatchGroupingDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := eng.QueryBatch(reqs)
+		got := eng.QueryBatch(context.Background(), nil, reqs)
 		for i := range got {
 			if got[i].Err != nil {
 				t.Fatalf("%s: request %d failed: %v", cfg.tag, i, got[i].Err)
@@ -118,9 +119,9 @@ func TestBatchGroupingMatchesSingleQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := eng.QueryBatch(reqs)
+	batch := eng.QueryBatch(context.Background(), nil, reqs)
 	for i := range reqs {
-		single := eng.Query(reqs[i])
+		single := eng.QueryCtx(context.Background(), reqs[i])
 		respEqual(t, "single-vs-batch", i, batch[i], single)
 	}
 }
@@ -153,8 +154,8 @@ func TestEnginePyramidRoundTripServing(t *testing.T) {
 	if err := engLoaded.SetPyramid(loaded); err != nil {
 		t.Fatal(err)
 	}
-	a := engBuilt.QueryBatch(reqs)
-	b := engLoaded.QueryBatch(reqs)
+	a := engBuilt.QueryBatch(context.Background(), nil, reqs)
+	b := engLoaded.QueryBatch(context.Background(), nil, reqs)
 	for i := range a {
 		respEqual(t, "loaded-pyramid", i, a[i], b[i])
 	}
@@ -175,10 +176,10 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp []asrs.QueryResponse
-	resp = eng.QueryBatchInto(resp, reqs) // warm: builds pyramid, slabs, scratch
-	resp = eng.QueryBatchInto(resp, reqs)
+	resp = eng.QueryBatch(context.Background(), resp, reqs) // warm: builds pyramid, slabs, scratch
+	resp = eng.QueryBatch(context.Background(), resp, reqs)
 	allocs := testing.AllocsPerRun(5, func() {
-		resp = eng.QueryBatchInto(resp, reqs)
+		resp = eng.QueryBatch(context.Background(), resp, reqs)
 	})
 	perQuery := allocs / float64(len(reqs))
 	// The budget is deliberately loose (kernel heap growth, response Rep

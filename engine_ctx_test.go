@@ -67,7 +67,7 @@ func TestRequestCtxPrecedence(t *testing.T) {
 	// Dead per-request ctx under a live call ctx: the request fails.
 	expired := req
 	expired.Ctx = dead
-	if resp := eng.Query(expired); !errors.Is(resp.Err, context.DeadlineExceeded) {
+	if resp := eng.QueryCtx(context.Background(), expired); !errors.Is(resp.Err, context.DeadlineExceeded) {
 		t.Fatalf("dead request ctx ignored: %v", resp.Err)
 	}
 }
@@ -98,13 +98,13 @@ func TestBatchDeadlineIsolation(t *testing.T) {
 		}
 		clean := reqs[i]
 		clean.Ctx = nil
-		want[i] = eng.Query(clean)
+		want[i] = eng.QueryCtx(context.Background(), clean)
 		if want[i].Err != nil {
 			t.Fatal(want[i].Err)
 		}
 	}
 
-	resp := eng.QueryBatchCtx(context.Background(), reqs)
+	resp := eng.QueryBatch(context.Background(), nil, reqs)
 	if !errors.Is(resp[2].Err, context.DeadlineExceeded) {
 		t.Fatalf("request 2: Err = %v, want DeadlineExceeded", resp[2].Err)
 	}
@@ -134,11 +134,11 @@ func TestBatchDedupSurvivesMemberDeadline(t *testing.T) {
 	reqs := []asrs.QueryRequest{base, base, base}
 	reqs[1].Ctx = dead // identical bytes, expired deadline
 
-	resp := eng.QueryBatch(reqs)
+	resp := eng.QueryBatch(context.Background(), nil, reqs)
 	if !errors.Is(resp[1].Err, context.DeadlineExceeded) {
 		t.Fatalf("expired member: Err = %v, want DeadlineExceeded", resp[1].Err)
 	}
-	ref := eng.Query(base)
+	ref := eng.QueryCtx(context.Background(), base)
 	for _, i := range []int{0, 2} {
 		if resp[i].Err != nil {
 			t.Fatalf("surviving member %d failed: %v", i, resp[i].Err)
@@ -166,7 +166,7 @@ func TestBatchDedupGroupDeadline(t *testing.T) {
 	reqs := []asrs.QueryRequest{base, base}
 	reqs[0].Ctx = c1
 	reqs[1].Ctx = c2
-	resp := eng.QueryBatch(reqs)
+	resp := eng.QueryBatch(context.Background(), nil, reqs)
 	for i := range resp {
 		if !errors.Is(resp[i].Err, context.DeadlineExceeded) {
 			t.Fatalf("member %d: Err = %v, want DeadlineExceeded (group must inherit the latest member deadline)", i, resp[i].Err)
@@ -179,7 +179,7 @@ func TestBatchDedupGroupDeadline(t *testing.T) {
 // engine still answers correctly (no poisoned caches or leaked state).
 func TestQueryCtxCancelMidFlight(t *testing.T) {
 	eng, req := ctxEngine(t, asrs.EngineOptions{})
-	ref := eng.Query(req)
+	ref := eng.QueryCtx(context.Background(), req)
 	if ref.Err != nil {
 		t.Fatal(ref.Err)
 	}
@@ -204,7 +204,7 @@ func TestQueryCtxCancelMidFlight(t *testing.T) {
 		t.Fatalf("completed-before-cancel answer differs: %v != %v", resp.Results[0].Dist, ref.Results[0].Dist)
 	}
 
-	after := eng.Query(req)
+	after := eng.QueryCtx(context.Background(), req)
 	if after.Err != nil {
 		t.Fatal(after.Err)
 	}

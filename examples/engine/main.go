@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -60,7 +61,7 @@ func main() {
 	reqs = append(reqs, asrs.QueryRequest{Query: topQ, A: 40, B: 40, TopK: 3})
 
 	start := time.Now()
-	resps := eng.QueryBatch(reqs)
+	resps := eng.QueryBatch(context.Background(), nil, reqs)
 	elapsed := time.Since(start)
 
 	for i, resp := range resps {

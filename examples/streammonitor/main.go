@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -67,7 +68,7 @@ func main() {
 		q.F = f // share the engine's composite (same structure, re-tuned target)
 		req := asrs.QueryRequest{Query: q, A: a, B: b}
 		solve := time.Now()
-		resp := eng.Query(req)
+		resp := eng.QueryCtx(context.Background(), req)
 		if resp.Err != nil {
 			log.Fatal(resp.Err)
 		}
@@ -80,7 +81,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ref := rebuilt.Query(req)
+		ref := rebuilt.QueryCtx(context.Background(), req)
 		if ref.Err != nil {
 			log.Fatal(ref.Err)
 		}

@@ -4,6 +4,7 @@
 package asrs_test
 
 import (
+	"context"
 	"testing"
 
 	"asrs"
@@ -132,7 +133,11 @@ func TestInconsistentQueries(t *testing.T) {
 	if _, _, _, err := asrs.Search(ds, 1, 1, q, asrs.Options{Delta: -0.5}); err == nil {
 		t.Error("negative delta accepted")
 	}
-	if _, _, err := asrs.SearchTopK(ds, 1, 1, q, -2, nil, asrs.Options{}); err == nil {
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := eng.QueryCtx(context.Background(), asrs.QueryRequest{Query: q, A: 1, B: 1, TopK: -2}); resp.Err == nil {
 		t.Error("negative k accepted")
 	}
 }

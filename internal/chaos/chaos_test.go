@@ -82,7 +82,7 @@ func fixture(t *testing.T) (*asrs.Dataset, *asrs.Composite, []asrs.QueryRequest,
 		}
 		want := make([]float64, len(reqs))
 		for i, req := range reqs {
-			resp := eng.Query(req)
+			resp := eng.QueryCtx(context.Background(), req)
 			if resp.Err != nil {
 				chaosCorpus.err = resp.Err
 				return
@@ -137,7 +137,7 @@ func TestEngineChaosSeeds(t *testing.T) {
 		faultinject.Activate(plan)
 		for i, req := range reqs {
 			before := plan.FiredAt("kernel.process.panic")
-			resp := eng.Query(req)
+			resp := eng.QueryCtx(context.Background(), req)
 			after := plan.FiredAt("kernel.process.panic")
 			if resp.Err != nil {
 				faulted++
@@ -273,7 +273,7 @@ func TestSigtermDrainWithConcurrentSave(t *testing.T) {
 		qwg.Add(1)
 		go func(i int, req asrs.QueryRequest) {
 			defer qwg.Done()
-			results <- outcome{i, eng.Query(req)}
+			results <- outcome{i, eng.QueryCtx(context.Background(), req)}
 		}(i, req)
 	}
 

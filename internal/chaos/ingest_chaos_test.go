@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -172,7 +173,7 @@ func TestIngestKillAndReplaySeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, req := range reqs {
-			wr, rr := oracle.Query(req), rec.Query(req)
+			wr, rr := oracle.QueryCtx(context.Background(), req), rec.QueryCtx(context.Background(), req)
 			if wr.Err != nil || rr.Err != nil {
 				t.Fatalf("seed %d query %d: oracle err %v, recovered err %v", seed, i, wr.Err, rr.Err)
 			}
@@ -194,7 +195,7 @@ func TestIngestKillAndReplaySeeds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: second recovery failed: %v", seed, err)
 			}
-			wantB, gotB := oracle.QueryBatch(reqs), rec2.QueryBatch(reqs)
+			wantB, gotB := oracle.QueryBatch(context.Background(), nil, reqs), rec2.QueryBatch(context.Background(), nil, reqs)
 			for i := range reqs {
 				if wantB[i].Err != nil || gotB[i].Err != nil {
 					t.Fatalf("seed %d batch %d: oracle err %v, recovered err %v",
@@ -346,7 +347,7 @@ func TestIngestServerKillAndRequery(t *testing.T) {
 	defer ts2.Close()
 
 	for i, req := range reqs {
-		want := oracle.Query(req)
+		want := oracle.QueryCtx(context.Background(), req)
 		if want.Err != nil {
 			t.Fatal(want.Err)
 		}
@@ -414,7 +415,7 @@ func TestIngestChaosConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			resp := eng.Query(reqs[i%len(reqs)])
+			resp := eng.QueryCtx(context.Background(), reqs[i%len(reqs)])
 			if resp.Err != nil && !typedErr(resp.Err) {
 				t.Errorf("untyped concurrent query error %v", resp.Err)
 				return
@@ -424,7 +425,7 @@ func TestIngestChaosConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			for _, resp := range eng.QueryBatch(reqs[:3]) {
+			for _, resp := range eng.QueryBatch(context.Background(), nil, reqs[:3]) {
 				if resp.Err != nil && !typedErr(resp.Err) {
 					t.Errorf("untyped concurrent batch error %v", resp.Err)
 					return
@@ -463,7 +464,7 @@ func TestIngestChaosConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, req := range reqs {
-		wr, rr := oracle.Query(req), rec.Query(req)
+		wr, rr := oracle.QueryCtx(context.Background(), req), rec.QueryCtx(context.Background(), req)
 		if wr.Err != nil || rr.Err != nil {
 			t.Fatalf("query %d: oracle err %v, recovered err %v", i, wr.Err, rr.Err)
 		}

@@ -943,16 +943,17 @@ func (s *Searcher) SeedBest(r asp.Result) { s.best = r }
 func (s *Searcher) Rects() []asp.RectObject { return s.rects }
 
 // SolveASRSExcluding solves the ASRS problem restricted to answer regions
-// that do not overlap the exclude rectangle (beyond shared boundary).
+// that overlap none of the exclude rectangles (beyond shared boundary).
 // This supports query-by-example with a real query region, where the
 // query region itself would otherwise be the trivial zero-distance
-// answer (§7.6's case study: query "Orchard", answer "Marina Bay").
-// Requires the default top-right-corner anchor.
-func SolveASRSExcluding(ds *attr.Dataset, a, b float64, q asp.Query, exclude geom.Rect, opt Options) (geom.Rect, asp.Result, Stats, error) {
+// answer (§7.6's case study: query "Orchard", answer "Marina Bay"), and
+// it is the unbounded single round of greedy top-k (Greedy). Requires
+// the default top-right-corner anchor.
+func SolveASRSExcluding(ds *attr.Dataset, a, b float64, q asp.Query, exclude []geom.Rect, opt Options) (geom.Rect, asp.Result, Stats, error) {
 	if opt.Anchor != asp.AnchorTR {
 		return geom.Rect{}, asp.Result{}, Stats{}, fmt.Errorf("dssearch: exclusion requires the top-right-corner anchor")
 	}
-	rects, err := asp.Reduce(ds, a, b, opt.Anchor)
+	rects, err := ReduceForSearch(ds, a, b, q.F, opt)
 	if err != nil {
 		return geom.Rect{}, asp.Result{}, Stats{}, err
 	}
@@ -963,12 +964,10 @@ func SolveASRSExcluding(ds *attr.Dataset, a, b float64, q asp.Query, exclude geo
 	defer s.Release()
 	space := asp.Space(s.rects)
 	s.best = s.emptyResult(space)
+	s.best.Point = clearOf(s.best.Point, a, b, exclude)
 	if len(s.rects) > 0 {
-		// Bottom-left corners whose region would overlap the excluded
-		// rectangle form its Minkowski expansion by (a, b) toward min.
-		forbidden := geom.Rect{MinX: exclude.MinX - a, MinY: exclude.MinY - b, MaxX: exclude.MaxX, MaxY: exclude.MaxY}
-		for _, sub := range subtractRect(space, forbidden) {
-			s.SolveWithin(sub, 0)
+		for _, p := range withinPieces(space, a, b, exclude) {
+			s.SolveWithin(p, 0)
 		}
 	}
 	if err := s.Err(); err != nil {
@@ -980,59 +979,23 @@ func SolveASRSExcluding(ds *attr.Dataset, a, b float64, q asp.Query, exclude geo
 	return region, s.best, s.Stats, nil
 }
 
-// SolveASRSTopK returns up to k non-overlapping similar regions in
-// increasing distance order: the greedy sequence "best region, best
-// region not overlapping the first, …". An optional extra exclusion
-// (typically the example query region) applies to every answer. This is
-// an extension beyond the paper, built from the same machinery.
-func SolveASRSTopK(ds *attr.Dataset, a, b float64, q asp.Query, k int, exclude []geom.Rect, opt Options) ([]geom.Rect, []asp.Result, error) {
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("dssearch: top-k requires k >= 1, got %d", k)
+// clearOf moves the out-of-space empty candidate p right, past every
+// exclusion, when its a×b region overlaps one; otherwise p is returned
+// unchanged. Without the move, greedy rounds whose best answer is the
+// empty region would answer that one region every round. Moving right
+// keeps the point outside the space, so its coverage stays empty.
+func clearOf(p geom.Point, a, b float64, exclude []geom.Rect) geom.Point {
+	region := asp.AnchorTR.RegionFor(p, a, b)
+	hit := false
+	x := p.X
+	for _, e := range exclude {
+		hit = hit || region.IntersectsOpen(e)
+		x = max(x, e.MaxX)
 	}
-	if opt.Anchor != asp.AnchorTR {
-		return nil, nil, fmt.Errorf("dssearch: top-k requires the top-right-corner anchor")
+	if hit {
+		p.X = x
 	}
-	rects, err := asp.Reduce(ds, a, b, opt.Anchor)
-	if err != nil {
-		return nil, nil, err
-	}
-	space := asp.Space(rects)
-	excl := append([]geom.Rect(nil), exclude...)
-	var regions []geom.Rect
-	var results []asp.Result
-	for i := 0; i < k; i++ {
-		s, err := NewSearcherOwning(rects, q, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.best = s.emptyResult(space)
-		if len(rects) > 0 {
-			pieces := []geom.Rect{space}
-			for _, e := range excl {
-				forbidden := geom.Rect{MinX: e.MinX - a, MinY: e.MinY - b, MaxX: e.MaxX, MaxY: e.MaxY}
-				var next []geom.Rect
-				for _, p := range pieces {
-					next = append(next, subtractRect(p, forbidden)...)
-				}
-				pieces = next
-			}
-			for _, p := range pieces {
-				s.SolveWithin(p, 0)
-			}
-		}
-		if err := s.Err(); err != nil {
-			s.Release()
-			return nil, nil, err
-		}
-		s.best.Rep = s.PointRepresentation(s.best.Point)
-		s.best.Dist = s.query.Distance(s.best.Rep)
-		region := opt.Anchor.RegionFor(s.best.Point, a, b)
-		regions = append(regions, region)
-		results = append(results, s.best)
-		excl = append(excl, region)
-		s.Release()
-	}
-	return regions, results, nil
+	return p
 }
 
 // subtractRect returns up to four rectangles covering space minus the

@@ -29,7 +29,7 @@ func TestSearchExcludingAvoidsRegion(t *testing.T) {
 		rq := geom.Rect{MinX: center.X - a/2, MinY: center.Y - b/2, MaxX: center.X + a/2, MaxY: center.Y + b/2}
 		q := asp.Query{F: f, Target: f.Representation(ds, agg.OpenRect{MinX: rq.MinX, MinY: rq.MinY, MaxX: rq.MaxX, MaxY: rq.MaxY})}
 
-		region, res, _, err := dssearch.SolveASRSExcluding(ds, a, b, q, rq, dssearch.Options{NCol: 10, NRow: 10})
+		region, res, _, err := dssearch.SolveASRSExcluding(ds, a, b, q, []geom.Rect{rq}, dssearch.Options{NCol: 10, NRow: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestSearchExcludingDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	far := geom.Rect{MinX: -500, MinY: -500, MaxX: -490, MaxY: -490}
-	_, got, _, err := dssearch.SolveASRSExcluding(ds, a, b, q, far, dssearch.Options{})
+	_, got, _, err := dssearch.SolveASRSExcluding(ds, a, b, q, []geom.Rect{far}, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSearchExcludingRejectsNonTRAnchor(t *testing.T) {
 	ds := dataset.Random(5, 10, 32)
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 	q := asp.Query{F: f, Target: []float64{0, 0, 0}}
-	_, _, _, err := dssearch.SolveASRSExcluding(ds, 2, 2, q, geom.Rect{}, dssearch.Options{Anchor: asp.AnchorBL})
+	_, _, _, err := dssearch.SolveASRSExcluding(ds, 2, 2, q, []geom.Rect{{}}, dssearch.Options{Anchor: asp.AnchorBL})
 	if err == nil {
 		t.Fatal("non-TR anchor accepted")
 	}

@@ -7,10 +7,22 @@ import (
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
+	"asrs/internal/attr"
 	"asrs/internal/dataset"
 	"asrs/internal/dssearch"
 	"asrs/internal/geom"
 )
+
+// topK drains the shared greedy iterator over the unbounded single
+// round, the path every top-k consumer runs.
+func topK(ds *attr.Dataset, a, b float64, q asp.Query, k int, exclude []geom.Rect, opt dssearch.Options) ([]geom.Rect, []asp.Result, *dssearch.Greedy, error) {
+	g := dssearch.NewGreedy(exclude, func(excl []geom.Rect) (geom.Rect, asp.Result, error) {
+		region, res, _, err := dssearch.SolveASRSExcluding(ds, a, b, q, excl, opt)
+		return region, res, err
+	})
+	regions, results, err := g.Take(k)
+	return regions, results, g, err
+}
 
 func TestTopKNonOverlappingAndOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
@@ -22,7 +34,7 @@ func TestTopKNonOverlappingAndOrdered(t *testing.T) {
 		target := []float64{float64(rng.Intn(5)), float64(rng.Intn(5)), float64(rng.Intn(5))}
 		q := asp.Query{F: f, Target: target}
 		const k = 4
-		regions, results, err := dssearch.SolveASRSTopK(ds, 7, 7, q, k, nil, dssearch.Options{NCol: 10, NRow: 10})
+		regions, results, _, err := topK(ds, 7, 7, q, k, nil, dssearch.Options{NCol: 10, NRow: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +67,7 @@ func TestTopKRespectsExternalExclusion(t *testing.T) {
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 	q := asp.Query{F: f, Target: []float64{3, 3, 3}}
 	avoid := geom.Rect{MinX: 10, MinY: 10, MaxX: 30, MaxY: 30}
-	regions, _, err := dssearch.SolveASRSTopK(ds, 6, 6, q, 3, []geom.Rect{avoid}, dssearch.Options{})
+	regions, _, _, err := topK(ds, 6, 6, q, 3, []geom.Rect{avoid}, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +82,10 @@ func TestTopKValidation(t *testing.T) {
 	ds := dataset.Random(5, 10, 52)
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 	q := asp.Query{F: f, Target: []float64{0, 0, 0}}
-	if _, _, err := dssearch.SolveASRSTopK(ds, 2, 2, q, 0, nil, dssearch.Options{}); err == nil {
-		t.Error("k=0 accepted")
+	if regions, _, g, err := topK(ds, 2, 2, q, 0, nil, dssearch.Options{}); err != nil || len(regions) != 0 || g.Rounds() != 0 {
+		t.Errorf("k=0: %d regions after %d rounds, err %v; want none", len(regions), g.Rounds(), err)
 	}
-	if _, _, err := dssearch.SolveASRSTopK(ds, 2, 2, q, 2, nil, dssearch.Options{Anchor: asp.AnchorBL}); err == nil {
+	if _, _, _, err := topK(ds, 2, 2, q, 2, nil, dssearch.Options{Anchor: asp.AnchorBL}); err == nil {
 		t.Error("non-TR anchor accepted")
 	}
 }

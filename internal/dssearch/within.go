@@ -32,11 +32,13 @@ func AnchorWindow(within geom.Rect, a, b float64) geom.Rect {
 	return geom.Rect{MinX: within.MinX, MinY: within.MinY, MaxX: within.MaxX - a, MaxY: within.MaxY - b}
 }
 
-// withinPieces carves the anchor window into search pieces by
-// subtracting the Minkowski expansion of every excluded rectangle —
-// the same piece algebra SolveASRSTopK uses over the full space, so a
-// windowed search and a full-space search that happen to visit the
-// same geometry take bit-identical trajectories.
+// withinPieces carves an anchor window into search pieces by
+// subtracting the Minkowski expansion of every excluded rectangle (the
+// anchors whose region would overlap it). It is the only piece carver:
+// the windowed search carves the extent's anchor window and
+// SolveASRSExcluding the full space, so a windowed search and a
+// full-space search that happen to visit the same geometry take
+// bit-identical trajectories.
 func withinPieces(win geom.Rect, a, b float64, exclude []geom.Rect) []geom.Rect {
 	pieces := []geom.Rect{win}
 	for _, e := range exclude {
@@ -129,34 +131,4 @@ func SolveASRSWithin(ds *attr.Dataset, a, b float64, q asp.Query, within geom.Re
 	s.best = best
 	region := opt.Anchor.RegionFor(best.Point, a, b)
 	return region, best, s.Stats, nil
-}
-
-// SolveASRSTopKWithin is the windowed greedy top-k: up to k
-// non-overlapping regions inside the extent in increasing distance
-// order, each round excluding the regions already chosen (plus any
-// caller exclusions). Rounds stop early — without error — once no
-// feasible region remains.
-func SolveASRSTopKWithin(ds *attr.Dataset, a, b float64, q asp.Query, k int, exclude []geom.Rect, within geom.Rect, opt Options) ([]geom.Rect, []asp.Result, error) {
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("dssearch: top-k requires k >= 1, got %d", k)
-	}
-	excl := append([]geom.Rect(nil), exclude...)
-	var regions []geom.Rect
-	var results []asp.Result
-	for i := 0; i < k; i++ {
-		region, res, _, err := SolveASRSWithin(ds, a, b, q, within, excl, opt)
-		if errors.Is(err, ErrNoFeasibleRegion) {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		regions = append(regions, region)
-		results = append(results, res)
-		excl = append(excl, region)
-	}
-	if len(regions) == 0 {
-		return nil, nil, ErrNoFeasibleRegion
-	}
-	return regions, results, nil
 }

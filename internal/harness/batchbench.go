@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -196,7 +197,7 @@ func RunBatchBench(out io.Writer, cfg BatchBenchConfig) error {
 			if err != nil {
 				return err
 			}
-			if err := check(fmt.Sprintf("%s/w%d", m.name, w), eng.QueryBatch(reqs)); err != nil {
+			if err := check(fmt.Sprintf("%s/w%d", m.name, w), eng.QueryBatch(context.Background(), nil, reqs)); err != nil {
 				return err
 			}
 		}
@@ -211,11 +212,11 @@ func RunBatchBench(out io.Writer, cfg BatchBenchConfig) error {
 				return err
 			}
 			var resp []asrs.QueryResponse
-			resp = eng.QueryBatchInto(resp, reqs) // warm caches outside the timer
+			resp = eng.QueryBatch(context.Background(), resp, reqs) // warm caches outside the timer
 			br := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					resp = eng.QueryBatchInto(resp, reqs)
+					resp = eng.QueryBatch(context.Background(), resp, reqs)
 				}
 			})
 			run := BatchBenchRun{

@@ -38,7 +38,7 @@ func runCaseStudy(cfg Config) error {
 		return err
 	}
 
-	region, res, _, err := dssearch.SolveASRSExcluding(ds, a, b, q, orchard.Rect, dssearch.Options{Workers: 1})
+	region, res, _, err := dssearch.SolveASRSExcluding(ds, a, b, q, []geom.Rect{orchard.Rect}, dssearch.Options{Workers: 1})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -55,7 +56,7 @@ func (c IngestBenchConfig) normalized() IngestBenchConfig {
 
 // IngestRun is one measured WAL sync policy.
 type IngestRun struct {
-	Sync          string  `json:"sync"` // "always", "batch", "never"
+	Sync          string  `json:"sync"` // "always", "never"
 	Objects       int     `json:"objects"`
 	Batches       int     `json:"batches"`
 	NsPerObject   int64   `json:"ns_per_object"`
@@ -193,7 +194,7 @@ func RunIngestBench(out io.Writer, cfg IngestBenchConfig) error {
 	policies := []struct {
 		name string
 		sync asrs.SyncPolicy
-	}{{"always", asrs.SyncAlways}, {"batch", asrs.SyncBatch}, {"never", asrs.SyncNever}}
+	}{{"always", asrs.SyncAlways}, {"never", asrs.SyncNever}}
 	for _, p := range policies {
 		dir, err := os.MkdirTemp("", "asrs-ingestbench-"+p.name+"-*")
 		if err != nil {
@@ -248,8 +249,8 @@ func RunIngestBench(out io.Writer, cfg IngestBenchConfig) error {
 	}
 	report.Dists = make([]float64, len(reqs))
 	for i, req := range reqs {
-		want := oracle.Query(req)
-		got := staged.Query(req)
+		want := oracle.QueryCtx(context.Background(), req)
+		got := staged.QueryCtx(context.Background(), req)
 		if want.Err != nil || got.Err != nil {
 			return fmt.Errorf("harness: query %d failed: oracle %v, staged %v", i, want.Err, got.Err)
 		}
@@ -264,7 +265,7 @@ func RunIngestBench(out io.Writer, cfg IngestBenchConfig) error {
 	queryBench := func(eng *asrs.Engine) int64 {
 		br := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if resp := eng.Query(reqs[i%len(reqs)]); resp.Err != nil {
+				if resp := eng.QueryCtx(context.Background(), reqs[i%len(reqs)]); resp.Err != nil {
 					b.Fatal(resp.Err)
 				}
 			}
@@ -299,7 +300,7 @@ func RunIngestBench(out io.Writer, cfg IngestBenchConfig) error {
 			return err
 		}
 		start := time.Now()
-		if resp := epoch.Query(reqs[epochs%len(reqs)]); resp.Err != nil {
+		if resp := epoch.QueryCtx(context.Background(), reqs[epochs%len(reqs)]); resp.Err != nil {
 			return resp.Err
 		}
 		foldTotal += time.Since(start)
@@ -328,7 +329,7 @@ func RunIngestBench(out io.Writer, cfg IngestBenchConfig) error {
 		return fmt.Errorf("harness: recovery replayed %d objects, want %d", len(recovered), len(pool))
 	}
 	for i, req := range reqs {
-		got := rec.Query(req)
+		got := rec.QueryCtx(context.Background(), req)
 		if got.Err != nil {
 			return got.Err
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -191,14 +192,14 @@ func RunScalingBench(out io.Writer, cfg ScalingBenchConfig) error {
 			return err
 		}
 		var resp []asrs.QueryResponse
-		resp = eng.QueryBatchInto(resp, reqs) // warm caches outside the timer
+		resp = eng.QueryBatch(context.Background(), resp, reqs) // warm caches outside the timer
 		if err := check("strip_ab/"+m.name, resp); err != nil {
 			return err
 		}
 		br := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				resp = eng.QueryBatchInto(resp, reqs)
+				resp = eng.QueryBatch(context.Background(), resp, reqs)
 			}
 		})
 		report.StripAB = append(report.StripAB, ScalingStripRun{
@@ -223,13 +224,13 @@ func RunScalingBench(out io.Writer, cfg ScalingBenchConfig) error {
 			return err
 		}
 		var resp []asrs.QueryResponse
-		resp = eng.QueryBatchInto(resp, reqs)
+		resp = eng.QueryBatch(context.Background(), resp, reqs)
 		if err := check(fmt.Sprintf("batched/w%d", w), resp); err != nil {
 			return err
 		}
 		br := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				resp = eng.QueryBatchInto(resp, reqs)
+				resp = eng.QueryBatch(context.Background(), resp, reqs)
 			}
 		})
 		run := ScalingRun{
@@ -268,7 +269,7 @@ func RunScalingBench(out io.Writer, cfg ScalingBenchConfig) error {
 	}
 	serveDists := make([]float64, len(serveReqs))
 	for i, req := range serveReqs {
-		resp := refEng.Query(req)
+		resp := refEng.QueryCtx(context.Background(), req)
 		if resp.Err != nil {
 			return fmt.Errorf("harness: serve reference query %d failed: %v", i, resp.Err)
 		}

@@ -28,7 +28,7 @@ import (
 // traffic is Zipf-ish (a hot set of popular queries dominates), which is
 // exactly the shape request dedup and shared prepared query shapes
 // amortize. Every response distance is verified bit-identical to a
-// direct Engine.Query, and a deadline probe asserts 504s never perturb
+// direct Engine.QueryCtx, and a deadline probe asserts 504s never perturb
 // concurrent answers — the bench doubles as the acceptance check for
 // the serving layer.
 type ServeBenchConfig struct {
@@ -219,7 +219,7 @@ func RunServeBench(out io.Writer, cfg ServeBenchConfig) error {
 	}
 	dists := make([]float64, len(reqs))
 	for i, req := range reqs {
-		resp := refEng.Query(req)
+		resp := refEng.QueryCtx(context.Background(), req)
 		if resp.Err != nil {
 			return fmt.Errorf("harness: reference query %d failed: %v", i, resp.Err)
 		}
@@ -329,7 +329,7 @@ func runServeMode(ds *asrs.Dataset, f *asrs.Composite, wire []server.Query, dist
 			return ServeBenchRun{}, fmt.Errorf("harness: %s warm query %d: status %d (%s)", name, i, status, wr.Error)
 		}
 		if math.Float64bits(wr.Results[0].Dist) != math.Float64bits(dists[i]) {
-			return ServeBenchRun{}, fmt.Errorf("harness: %s query %d served %v, want %v — serving must be bit-identical to Engine.Query",
+			return ServeBenchRun{}, fmt.Errorf("harness: %s query %d served %v, want %v — serving must be bit-identical to Engine.QueryCtx",
 				name, i, wr.Results[0].Dist, dists[i])
 		}
 	}

@@ -211,7 +211,7 @@ func RunShardBench(out io.Writer, cfg ShardBenchConfig) error {
 		if resp.Err != nil {
 			return fmt.Errorf("harness: routed query %d: %w", i, resp.Err)
 		}
-		want := oracle.Query(asrs.QueryRequest{Query: q, A: a, B: b, Within: &ext})
+		want := oracle.QueryCtx(context.Background(), asrs.QueryRequest{Query: q, A: a, B: b, Within: &ext})
 		if want.Err != nil {
 			return fmt.Errorf("harness: oracle query %d: %w", i, want.Err)
 		}
@@ -258,7 +258,7 @@ func RunShardBench(out io.Writer, cfg ShardBenchConfig) error {
 		return resp.Err
 	}
 	single := func(e asrs.Rect) error {
-		return oracle.Query(asrs.QueryRequest{Query: q, A: a, B: b, Within: &e}).Err
+		return oracle.QueryCtx(context.Background(), asrs.QueryRequest{Query: q, A: a, B: b, Within: &e}).Err
 	}
 	for _, m := range []struct {
 		mode    string

@@ -2,9 +2,9 @@ package query
 
 import (
 	"context"
-	"errors"
 
 	"asrs"
+	"asrs/internal/dssearch"
 	"asrs/internal/wire"
 )
 
@@ -22,12 +22,11 @@ type Row struct {
 // Stream is a lazy result iterator: each Next issues at most the
 // backend work needed for ONE more answer (one greedy round per
 // candidate), so the first result is on the wire before later rounds
-// have run at all. The greedy round sequence — single-best search with
-// the accumulated exclusion set, each round's region appended whether
-// or not a filter accepts it — is exactly the loop inside the engine's
-// one-shot top-k (dssearch.SolveASRSTopK) and the router's
-// scatter-round gather, which is why an unfiltered stream's rows are
-// Float64bits-identical to the one-shot answer.
+// have run at all. The rounds come from the shared greedy iterator
+// (dssearch.Greedy) over Binding.Query — the same iterator the engine's
+// one-shot top-k and the router's scatter-round gather run — which is
+// why an unfiltered stream's rows are Float64bits-identical to the
+// one-shot answer.
 //
 // A Stream is single-goroutine; it holds no locks and no background
 // work. Abandoning it mid-iteration leaks nothing.
@@ -37,13 +36,11 @@ type Stream struct {
 	b   Binding
 	ds  *asrs.Dataset
 
-	base    asrs.QueryRequest // single-round skeleton (TopK forced to 0)
-	excl    []asrs.Rect
+	greedy  *dssearch.Greedy // nil for maximize plans
 	filters []boundFilter
 	reps    [][]float64 // accepted representations (diversity chain)
 
 	emitted int
-	rounds  int
 	done    bool
 	err     error
 	cov     *wire.Coverage
@@ -74,8 +71,18 @@ func Exec(ctx context.Context, pl *Plan, b Binding) (*Stream, error) {
 	}
 	pl.ApplyOptions(&req, b.SearchOptions())
 	req.TopK = 0
-	s.base = req
-	s.excl = req.Exclude
+	req.Ctx = ctx
+	s.greedy = dssearch.NewGreedy(req.Exclude, func(excl []asrs.Rect) (asrs.Rect, asrs.Result, error) {
+		round := req
+		round.Exclude = excl
+		resp, cov := s.b.Query(s.ctx, round)
+		s.mergeCoverage(cov)
+		if resp.Err != nil {
+			return asrs.Rect{}, asrs.Result{}, resp.Err
+		}
+		region, res := resp.Best()
+		return region, res, nil
+	})
 	for _, f := range pl.Filters {
 		bf := boundFilter{f: f}
 		if f.place.lit != nil {
@@ -100,29 +107,20 @@ func (s *Stream) Next() (Row, bool) {
 	}
 	k := s.pl.K()
 	budget := s.pl.rounds()
-	for s.emitted < k && s.rounds < budget {
-		req := s.base
-		req.Exclude = append([]asrs.Rect(nil), s.excl...)
-		req.Ctx = s.ctx
-		s.rounds++
-		resp, cov := s.b.Query(s.ctx, req)
-		s.mergeCoverage(cov)
-		if resp.Err != nil {
-			if errors.Is(resp.Err, asrs.ErrNoFeasibleRegion) && s.emitted > 0 {
-				// The window ran out of non-overlapping candidates: the
-				// one-shot greedy loop breaks here too, returning the
-				// answers so far.
-				s.done = true
-				return Row{}, false
+	for s.emitted < k && s.greedy.Rounds() < budget {
+		region, res, ok := s.greedy.Next()
+		if !ok {
+			// The window ran out of non-overlapping candidates (the
+			// one-shot top-k ends there too, with the answers so far) or
+			// a round failed. A stream that ran dry before accepting any
+			// row reports the exhaustion as an error.
+			s.err = s.greedy.Err()
+			if s.err == nil && s.emitted == 0 {
+				s.err = asrs.ErrNoFeasibleRegion
 			}
-			s.err = resp.Err
+			s.done = true
 			return Row{}, false
 		}
-		region, res := resp.Best()
-		// The region joins the exclusion set whether or not a filter
-		// accepts it — the greedy sequence is defined over candidates,
-		// and re-finding a rejected region would loop forever.
-		s.excl = append(s.excl, region)
 		if !s.accept(region, res) {
 			continue
 		}
@@ -188,7 +186,12 @@ func (s *Stream) Err() error { return s.err }
 func (s *Stream) Emitted() int { return s.emitted }
 
 // Rounds returns how many backend rounds the stream has spent.
-func (s *Stream) Rounds() int { return s.rounds }
+func (s *Stream) Rounds() int {
+	if s.greedy == nil {
+		return 0
+	}
+	return s.greedy.Rounds()
+}
 
 // Coverage returns the merged shard coverage across all rounds (nil on
 // unsharded backends).

@@ -18,7 +18,7 @@ import (
 // request to arrive opens a window; requests landing inside it pile
 // into one pending batch, and when the window elapses — or the batch
 // reaches MaxBatch first — the whole batch drains into a single
-// Engine.QueryBatchCtx call. The engine's grouping pass then dedups
+// Engine.QueryBatch call. The engine's grouping pass then dedups
 // byte-identical requests and shares one prepared query shape per
 // (composite, a, b) group across what were independent clients
 // (DESIGN.md §6), which is where the serving throughput win comes from.
@@ -242,7 +242,7 @@ func (c *Coalescer) dispatch(batch []*waiter) {
 			reqs[i] = w.req
 		}
 		started := time.Now()
-		resps := c.eng.QueryBatchCtx(c.base, reqs)
+		resps := c.eng.QueryBatch(c.base, nil, reqs)
 		c.observeService(time.Since(started))
 		// Counters before delivery: a stats reader triggered by the last
 		// response (the bench does exactly that) must see this batch.

@@ -69,7 +69,7 @@ func corpus(t *testing.T) (*asrs.Dataset, *asrs.Composite, []asrs.QueryRequest) 
 
 // TestCoalescerBitIdentical is the coalescer property test: N
 // concurrent clients submitting through the window collector must get
-// distances bit-identical to N sequential Engine.Query calls — for any
+// distances bit-identical to N sequential Engine.QueryCtx calls — for any
 // coalescing window, batch cap and worker count, including window=0
 // (no coalescing at all).
 func TestCoalescerBitIdentical(t *testing.T) {
@@ -82,7 +82,7 @@ func TestCoalescerBitIdentical(t *testing.T) {
 	}
 	want := make([]float64, len(reqs))
 	for i, req := range reqs {
-		resp := refEng.Query(req)
+		resp := refEng.QueryCtx(context.Background(), req)
 		if resp.Err != nil {
 			t.Fatal(resp.Err)
 		}

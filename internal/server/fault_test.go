@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -36,7 +37,7 @@ func decodeJSONBody(t *testing.T, resp *http.Response, v any) {
 func TestDispatchPanicFailpointIsolated(t *testing.T) {
 	_, ts, eng := newTestServer(t, server.Config{Window: server.DefaultWindow})
 	_, _, reqs := corpus(t)
-	want := eng.Query(reqs[0])
+	want := eng.QueryCtx(context.Background(), reqs[0])
 	if want.Err != nil {
 		t.Fatal(want.Err)
 	}
@@ -73,7 +74,7 @@ func TestDispatchPanicFailpointIsolated(t *testing.T) {
 func TestKernelPanicSurfacesThrough(t *testing.T) {
 	_, ts, eng := newTestServer(t, server.Config{Window: server.DefaultWindow})
 	_, _, reqs := corpus(t)
-	want := eng.Query(reqs[1])
+	want := eng.QueryCtx(context.Background(), reqs[1])
 	if want.Err != nil {
 		t.Fatal(want.Err)
 	}

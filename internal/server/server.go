@@ -683,7 +683,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			s.ewma.Observe(time.Since(start))
 		} else {
-			out := s.eng.QueryBatchCtx(s.base, sub)
+			out := s.eng.QueryBatch(s.base, nil, sub)
 			for k, i := range run {
 				if errors.Is(out[k].Err, context.DeadlineExceeded) {
 					s.nTimeouts.Add(1)

@@ -91,7 +91,7 @@ func TestServerQueryEndToEnd(t *testing.T) {
 	_, ts, eng := newTestServer(t, server.Config{})
 	_, _, reqs := corpus(t)
 
-	want := eng.Query(reqs[0])
+	want := eng.QueryCtx(context.Background(), reqs[0])
 	if want.Err != nil {
 		t.Fatal(want.Err)
 	}
@@ -142,7 +142,7 @@ func TestServerConcurrentClientsBitIdentical(t *testing.T) {
 
 	want := make([]float64, len(reqs))
 	for i, req := range reqs {
-		resp := eng.Query(req)
+		resp := eng.QueryCtx(context.Background(), req)
 		if resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
@@ -219,7 +219,7 @@ func TestServerBatchEndpoint(t *testing.T) {
 		if br.Responses[slot].Status != http.StatusOK {
 			t.Fatalf("slot %d status = %d, want 200", slot, br.Responses[slot].Status)
 		}
-		want := eng.Query(reqs[reqIdx])
+		want := eng.QueryCtx(context.Background(), reqs[reqIdx])
 		if math.Float64bits(br.Responses[slot].Results[0].Dist) != math.Float64bits(want.Results[0].Dist) {
 			t.Fatalf("slot %d: %v != %v", slot, br.Responses[slot].Results[0].Dist, want.Results[0].Dist)
 		}
@@ -267,7 +267,7 @@ func TestServerDeadline504(t *testing.T) {
 	_, ts, eng := newTestServer(t, server.Config{Window: 2 * time.Millisecond})
 	ds, f, reqs := corpus(t)
 
-	want := eng.Query(reqs[0])
+	want := eng.QueryCtx(context.Background(), reqs[0])
 	if want.Err != nil {
 		t.Fatal(want.Err)
 	}

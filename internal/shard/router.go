@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"asrs"
+	"asrs/internal/dssearch"
 	"asrs/internal/faultinject"
 	"asrs/internal/kernel"
 )
@@ -35,7 +36,8 @@ type Request struct {
 	Query asrs.Query
 	// A, B are the answer region's width and height.
 	A, B float64
-	// TopK requests the k best non-overlapping regions (0 or 1 = best).
+	// TopK requests the k best non-overlapping regions (0 or 1 = best;
+	// negative is a request error).
 	TopK int
 	// Exclude lists rectangles no answer may overlap beyond a boundary.
 	Exclude []asrs.Rect
@@ -186,6 +188,9 @@ func (r *Router) Query(ctx context.Context, req Request) Response {
 	}
 	if !(req.A > 0) || !(req.B > 0) {
 		return Response{Err: fmt.Errorf("shard: region dimensions must be positive, got %g x %g", req.A, req.B)}
+	}
+	if req.TopK < 0 {
+		return Response{Err: fmt.Errorf("shard: top-k must be non-negative, got %d", req.TopK)}
 	}
 	var e asrs.Rect
 	if req.Extent != nil {
@@ -417,8 +422,8 @@ type subTask struct {
 // Every candidate region of E lies in some sub-extent, each sub-extent
 // is inside E, and each sub-search returns its kernel.Better-minimum —
 // so the gathered minimum equals the merged-corpus windowed answer.
-// TopK runs as k gather rounds with accumulated exclusions, mirroring
-// the single-engine greedy rounds.
+// TopK runs the shared greedy iterator (dssearch.Greedy) over gather
+// rounds, exactly as the single engine runs it over its own searches.
 func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req Request, pol PartialPolicy) Response {
 	shards := r.cat.Shards()
 	tasks := make([]subTask, 0, 2*len(shards))
@@ -457,17 +462,9 @@ func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req Request, 
 		})
 	}
 
-	k := req.TopK
-	if k < 1 {
-		k = 1
-	}
-	excl := append([]asrs.Rect(nil), req.Exclude...)
-	cov := Coverage{Shards: len(shards)}
 	searched := map[string]bool{}
 	skipped := map[string]string{}
-	var regions []asrs.Rect
-	var results []asrs.Result
-	for round := 0; round < k; round++ {
+	g := dssearch.NewGreedy(req.Exclude, func(excl []asrs.Rect) (asrs.Rect, asrs.Result, error) {
 		region, best, roundCov, err := r.scatterRound(ctx, tasks, req, excl)
 		for _, n := range roundCov.Searched {
 			searched[n] = true
@@ -477,17 +474,11 @@ func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req Request, 
 				skipped[s.Shard] = s.Reason
 			}
 		}
-		if err != nil {
-			if errors.Is(err, asrs.ErrNoFeasibleRegion) && round > 0 {
-				break
-			}
-			return Response{Regions: regions, Results: results, Coverage: finishCoverage(cov, searched, skipped), Err: err}
-		}
-		regions = append(regions, region)
-		results = append(results, best)
-		excl = append(excl, region)
-	}
-	return Response{Regions: regions, Results: results, Coverage: finishCoverage(cov, searched, skipped)}
+		return region, best, err
+	})
+	regions, results, err := g.Take(max(req.TopK, 1))
+	cov := finishCoverage(Coverage{Shards: len(shards)}, searched, skipped)
+	return Response{Regions: regions, Results: results, Coverage: cov, Err: err}
 }
 
 func finishCoverage(cov Coverage, searched map[string]bool, skipped map[string]string) Coverage {

@@ -92,7 +92,7 @@ func TestRoutedContainedBitIdentity(t *testing.T) {
 						Exclude: []asrs.Rect{{MinX: lo, MinY: 40, MaxX: lo + 3, MaxY: 44}},
 						Extent:  &extent, Options: &opt, Policy: shard.BestEffort,
 					})
-					oresp := oracle.Query(asrs.QueryRequest{
+					oresp := oracle.QueryCtx(context.Background(), asrs.QueryRequest{
 						Query: q, A: a, B: b, TopK: 2,
 						Exclude: []asrs.Rect{{MinX: lo, MinY: 40, MaxX: lo + 3, MaxY: 44}},
 						Within:  &extent, Options: &opt,
@@ -191,10 +191,15 @@ func TestRoutedStraddlingTopK(t *testing.T) {
 	ds, f, q := corpus(t, 50, 7)
 	a, b := 8.0, 8.0
 	extent := asrs.Rect{MinX: 1, MinY: 1, MaxX: 99, MaxY: 99}
-	oregions, oresults, oerr := asrs.SearchTopKWithin(ds, a, b, q, 3, nil, extent, asrs.Options{})
-	if oerr != nil {
-		t.Fatal(oerr)
+	oracle, err := asrs.NewEngine(ds, asrs.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	oresp := oracle.QueryCtx(context.Background(), asrs.QueryRequest{Query: q, A: a, B: b, TopK: 3, Within: &extent})
+	if oresp.Err != nil {
+		t.Fatal(oresp.Err)
+	}
+	oregions, oresults := oresp.Regions, oresp.Results
 	cat := newCatalog(t, ds, f, 3)
 	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}, DisableBoundShare: true})
 	resp := rt.Query(context.Background(), shard.Request{Query: q, A: a, B: b, TopK: 3, Extent: &extent})
@@ -227,7 +232,7 @@ func TestRoutedNilExtent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oresp := oracle.Query(asrs.QueryRequest{Query: q, A: 6, B: 6})
+	oresp := oracle.QueryCtx(context.Background(), asrs.QueryRequest{Query: q, A: 6, B: 6})
 	if oresp.Err != nil {
 		t.Fatal(oresp.Err)
 	}
@@ -364,7 +369,7 @@ func TestRouterInsertRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oresp := oracle.Query(asrs.QueryRequest{Query: q, A: a, B: b, Within: &extent})
+		oresp := oracle.QueryCtx(context.Background(), asrs.QueryRequest{Query: q, A: a, B: b, Within: &extent})
 		resp = rt.Query(context.Background(), shard.Request{Query: q, A: a, B: b, Extent: &extent})
 		if (resp.Err == nil) != (oresp.Err == nil) {
 			t.Fatalf("post-insert contained err mismatch: %v vs %v", resp.Err, oresp.Err)

@@ -27,9 +27,9 @@
 //     invariant. Open fails with an error wrapping ErrCorruptRecord.
 //
 // The fsync policy is a knob (SyncPolicy): SyncAlways fsyncs every
-// append before acking (the durability default), SyncBatch fsyncs only
-// on explicit Sync calls and at segment rotation (amortized group
-// commit), SyncNever leaves flushing to the OS (benchmarks, tests).
+// append before acking (the durability default), SyncNever leaves
+// flushing to the OS until an explicit Sync or segment rotation
+// (benchmarks, tests).
 package wal
 
 import (
@@ -54,11 +54,8 @@ const (
 	// SyncAlways fsyncs after every append, before the append returns:
 	// an acked record survives any crash. The default.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs only on explicit Sync calls and at segment
-	// rotation. Callers group-commit: append a batch, Sync once, then
-	// ack the whole batch.
-	SyncBatch
-	// SyncNever never fsyncs; durability is whatever the OS provides.
+	// SyncNever never fsyncs on append; durability is whatever the OS
+	// provides until an explicit Sync or segment rotation.
 	SyncNever
 )
 
@@ -67,8 +64,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncBatch:
-		return "batch"
 	case SyncNever:
 		return "never"
 	default:
@@ -76,17 +71,15 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParseSyncPolicy parses "always", "batch" or "never".
+// ParseSyncPolicy parses "always" or "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "batch":
-		return SyncBatch, nil
 	case "never":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("wal: unknown sync policy %q (want always|batch|never)", s)
+	return 0, fmt.Errorf("wal: unknown sync policy %q (want always|never)", s)
 }
 
 // ErrCorruptRecord marks damage in the fsynced history: a bad frame
@@ -372,8 +365,8 @@ func (l *Log) NextLSN() uint64 {
 }
 
 // Append writes one record and returns its LSN. Under SyncAlways the
-// record is on stable storage when Append returns; under SyncBatch or
-// SyncNever it is buffered in the OS until Sync or rotation.
+// record is on stable storage when Append returns; under SyncNever it is
+// buffered in the OS until Sync or rotation.
 //
 // A failed write is rolled back by truncating the active segment to the
 // pre-append offset, so the on-disk frame sequence stays clean; if even
@@ -460,8 +453,8 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Sync flushes the active segment to stable storage. The group-commit
-// point under SyncBatch; a no-op risk-wise under SyncAlways.
+// Sync flushes the active segment to stable storage: the durability
+// point of a SyncNever log; a no-op risk-wise under SyncAlways.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

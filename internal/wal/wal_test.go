@@ -305,13 +305,15 @@ func TestClosedAndOversize(t *testing.T) {
 }
 
 func TestSyncPolicyParse(t *testing.T) {
-	for _, s := range []string{"always", "batch", "never"} {
+	for _, s := range []string{"always", "never"} {
 		p, err := ParseSyncPolicy(s)
 		if err != nil || p.String() != s {
 			t.Fatalf("round trip %q: %v %v", s, p, err)
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, s := range []string{"sometimes", "batch"} {
+		if _, err := ParseSyncPolicy(s); err == nil {
+			t.Fatalf("bad policy %q accepted", s)
+		}
 	}
 }

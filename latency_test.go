@@ -1,6 +1,7 @@
 package asrs_test
 
 import (
+	"context"
 	"testing"
 
 	"asrs"
@@ -27,7 +28,7 @@ func TestEngineLatencyStats(t *testing.T) {
 		t.Fatalf("fresh engine has latency stats: %+v", st)
 	}
 	req := asrs.QueryRequest{Query: q, A: a, B: b}
-	if resp := eng.Query(req); resp.Err != nil {
+	if resp := eng.QueryCtx(context.Background(), req); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	st := eng.Stats()
@@ -41,7 +42,7 @@ func TestEngineLatencyStats(t *testing.T) {
 	// A batch of identical requests dedups to one canonical search: the
 	// histogram must record the one execution, not every copy.
 	batch := []asrs.QueryRequest{req, req, req, req}
-	for _, r := range eng.QueryBatch(batch) {
+	for _, r := range eng.QueryBatch(context.Background(), nil, batch) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

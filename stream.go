@@ -27,11 +27,10 @@ import (
 //
 //   - Every InsertBatch appends one checksummed WAL record and is
 //     acknowledged per the sync policy: SyncAlways fsyncs before the
-//     ack (no acknowledged insert is ever lost), SyncBatch fsyncs once
-//     per batch (same today — one record per batch — but the intent is
-//     amortization if batches ever split), SyncNever leaves flushing to
-//     the OS (a crash may lose the tail; replay still never yields a
-//     torn or reordered state).
+//     ack (no acknowledged insert is ever lost; one record per batch, so
+//     one fsync per batch), SyncNever leaves flushing to the OS (a
+//     crash may lose the tail; replay still never yields a torn or
+//     reordered state).
 //   - Background compaction folds the staged objects into an ingest
 //     snapshot (persist.SaveIngestSnapshot: temp + fsync + rename, the
 //     applied-LSN watermark INSIDE the file) and only then truncates
@@ -50,13 +49,11 @@ type SyncPolicy = wal.SyncPolicy
 const (
 	// SyncAlways fsyncs every WAL append before acknowledging it.
 	SyncAlways = wal.SyncAlways
-	// SyncBatch fsyncs once per InsertBatch.
-	SyncBatch = wal.SyncBatch
 	// SyncNever never fsyncs the WAL (the OS flushes eventually).
 	SyncNever = wal.SyncNever
 )
 
-// ParseSyncPolicy parses "always", "batch" or "never".
+// ParseSyncPolicy parses "always" or "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
 
 // ErrEngineClosed reports an insert against a closed engine.
@@ -181,12 +178,6 @@ func (e *Engine) InsertBatch(objs []Object) error {
 		if err != nil {
 			e.ingestMu.Unlock()
 			return fmt.Errorf("asrs: insert: %w", err)
-		}
-		if e.opt.Ingest.Sync == SyncBatch {
-			if err := e.wlog.Sync(); err != nil {
-				e.ingestMu.Unlock()
-				return fmt.Errorf("asrs: insert: %w", err)
-			}
 		}
 		e.lastLSN = lsn
 	}

@@ -1,6 +1,7 @@
 package asrs_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -75,7 +76,7 @@ func TestInsertBitIdenticalToRebuild(t *testing.T) {
 		// Query once against the seed epoch so the later epoch has a
 		// completed pyramid to fold (the interesting path), then grow:
 		// a few single inserts, the rest in one batch.
-		_ = grown.Query(reqs[0])
+		_ = grown.QueryCtx(context.Background(), reqs[0])
 		for i := 0; i < 3; i++ {
 			if err := grown.Insert(inserts[i]); err != nil {
 				t.Fatalf("%s: insert %d: %v", cfg.tag, i, err)
@@ -85,8 +86,8 @@ func TestInsertBitIdenticalToRebuild(t *testing.T) {
 			t.Fatalf("%s: insert batch: %v", cfg.tag, err)
 		}
 
-		want := oracle.QueryBatch(reqs)
-		got := grown.QueryBatch(reqs)
+		want := oracle.QueryBatch(context.Background(), nil, reqs)
+		got := grown.QueryBatch(context.Background(), nil, reqs)
 		for i := range want {
 			if want[i].Err != nil || got[i].Err != nil {
 				t.Fatalf("%s: request %d errored: oracle %v, grown %v", cfg.tag, i, want[i].Err, got[i].Err)
@@ -94,7 +95,7 @@ func TestInsertBitIdenticalToRebuild(t *testing.T) {
 			respEqual(t, cfg.tag+"/batch", i, got[i], want[i])
 		}
 		for i := range reqs {
-			respEqual(t, cfg.tag+"/single", i, grown.Query(reqs[i]), oracle.Query(reqs[i]))
+			respEqual(t, cfg.tag+"/single", i, grown.QueryCtx(context.Background(), reqs[i]), oracle.QueryCtx(context.Background(), reqs[i]))
 		}
 		st := grown.Stats()
 		if st.Ingested != int64(len(inserts)) {
@@ -122,7 +123,7 @@ func TestInsertVisibleMidStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range reqs {
-			respEqual(t, "mid-stream", i, grown.Query(reqs[i]), oracle.Query(reqs[i]))
+			respEqual(t, "mid-stream", i, grown.QueryCtx(context.Background(), reqs[i]), oracle.QueryCtx(context.Background(), reqs[i]))
 		}
 		if step < len(inserts) {
 			end := step + 20
@@ -173,7 +174,7 @@ func TestInsertValidationAndClose(t *testing.T) {
 	if err := eng.Insert(inserts[1]); !errors.Is(err, asrs.ErrEngineClosed) {
 		t.Fatalf("insert after close: %v, want ErrEngineClosed", err)
 	}
-	if resp := eng.Query(reqs[0]); resp.Err != nil {
+	if resp := eng.QueryCtx(context.Background(), reqs[0]); resp.Err != nil {
 		t.Fatalf("query after close: %v", resp.Err)
 	}
 }
@@ -234,7 +235,7 @@ func TestIngestDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range reqs {
-		respEqual(t, "post-recovery", i, re2.Query(reqs[i]), oracle.Query(reqs[i]))
+		respEqual(t, "post-recovery", i, re2.QueryCtx(context.Background(), reqs[i]), oracle.QueryCtx(context.Background(), reqs[i]))
 	}
 	if err := re2.Close(); err != nil {
 		t.Fatal(err)
@@ -310,7 +311,7 @@ func TestDeltaFoldRacesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Establish the base pyramid so the first post-insert epoch folds.
-	if resp := eng.Query(reqs[0]); resp.Err != nil {
+	if resp := eng.QueryCtx(context.Background(), reqs[0]); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	var wg sync.WaitGroup
@@ -328,7 +329,7 @@ func TestDeltaFoldRacesCompaction(t *testing.T) {
 				t.Errorf("insert: %v", err)
 				return
 			}
-			if resp := eng.Query(reqs[i%len(reqs)]); resp.Err != nil {
+			if resp := eng.QueryCtx(context.Background(), reqs[i%len(reqs)]); resp.Err != nil {
 				t.Errorf("query: %v", resp.Err)
 				return
 			}
@@ -372,7 +373,7 @@ func TestDeltaFoldRacesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range reqs {
-		respEqual(t, "fold-vs-compact", i, eng.Query(reqs[i]), oracle.Query(reqs[i]))
+		respEqual(t, "fold-vs-compact", i, eng.QueryCtx(context.Background(), reqs[i]), oracle.QueryCtx(context.Background(), reqs[i]))
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -412,7 +413,7 @@ func TestConcurrentInsertQueryCompact(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
-			if resp := eng.Query(reqs[i%len(reqs)]); resp.Err != nil {
+			if resp := eng.QueryCtx(context.Background(), reqs[i%len(reqs)]); resp.Err != nil {
 				t.Errorf("query: %v", resp.Err)
 				return
 			}
@@ -421,7 +422,7 @@ func TestConcurrentInsertQueryCompact(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			eng.QueryBatch(reqs)
+			eng.QueryBatch(context.Background(), nil, reqs)
 			if err := eng.Compact(); err != nil {
 				t.Errorf("compact: %v", err)
 				return
@@ -441,7 +442,7 @@ func TestConcurrentInsertQueryCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range reqs {
-		respEqual(t, "settled", i, eng.Query(reqs[i]), oracle.Query(reqs[i]))
+		respEqual(t, "settled", i, eng.QueryCtx(context.Background(), reqs[i]), oracle.QueryCtx(context.Background(), reqs[i]))
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
